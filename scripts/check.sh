@@ -2,8 +2,10 @@
 # One-command gate for builders: the tier-1 test suite (three times:
 # serial, with DeprecationWarning-as-error so internal code never
 # calls the legacy facade shims, and under threaded shard execution)
-# plus seconds-scale smoke runs of the Fig. 1 pipeline bench, the X9
-# parallel-shards bench, the X10 async-ingestion bench, the X11
+# plus a one-second perfbench cloud-deeplog run that must report every
+# pass's alerts identical ("correct": true), seconds-scale smoke runs
+# of the Fig. 1 pipeline bench, the X9 parallel-shards bench, the X10
+# async-ingestion bench, the X11
 # autoscale-convergence bench, the X12 elastic-resharding bench, the
 # X13 multi-tenant-gateway bench, the X14 tracing-overhead bench, the
 # X15 semantic-tier bench, the X16 profiling-overhead bench (with a
@@ -67,6 +69,21 @@ if [ "$#" -gt 0 ]; then
         tests/test_ingest_merge.py tests/test_ingest_sources.py \
         tests/test_ingest_service.py tests/test_ingest_failures.py
 fi
+
+echo
+echo "== smoke: perfbench cloud-deeplog (alert identity between passes) =="
+# Each measured pass starts from a copy of a fitted default-spec
+# pipeline, so every pass must deliver the same alerts; a detector
+# change that breaks that (or fails a pass) reads "correct": false.
+python3 perfbench/run.py --workload cloud-deeplog --seconds 1 --trace 0 \
+    | tail -n 1 | python -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+assert result["correct"] is True and result["failed"] == 0, result
+records = result["attempted"]
+rps = result["metrics"]["run_rps"]["value"]
+print(f"perfbench cloud-deeplog correct: {records} records, "
+      f"run_rps {rps:,.0f}/s")'
 
 echo
 echo "== smoke: benchmarks/bench_fig1_pipeline.py =="

@@ -14,7 +14,7 @@ from repro.detection.base import DetectionResult
 from repro.logs.record import ParsedLog, Severity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnomalyReport:
     """One detected anomalous sequence with all its linked logs."""
 
@@ -66,7 +66,7 @@ class AnomalyReport:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifiedAlert:
     """An anomaly report with its assigned pool and criticality."""
 

@@ -19,7 +19,7 @@ from repro.logs.record import ParsedLog
 Session = Sequence[ParsedLog]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionResult:
     """Verdict for one session.
 

@@ -18,6 +18,8 @@ Two LSTM models, as the paper (§III) describes:
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro.api.registry import register_component
@@ -29,10 +31,20 @@ from repro.detection.base import (
     template_sequence,
 )
 from repro.nn.layers import Dense, Embedding
-from repro.nn.losses import softmax, softmax_cross_entropy, mse_loss
+from repro.nn.losses import softmax_cross_entropy, mse_loss
 from repro.nn.lstm import Lstm
 from repro.nn.network import Module, Trainer
 from repro.nn.optim import Adam
+
+#: Rows per LSTM forward pass at detection time.  Misses are padded with
+#: the all-pad history to whole blocks of this shape, because BLAS sums
+#: in a shape-dependent order: a row's logits differ in the last bits
+#: with the number of rows sharing its matmul, and a fixed shape makes
+#: each history's ranking a function of (fitted weights, history) alone.
+_BLOCK = 16
+
+#: Most distinct histories the top-g memo holds before it is cleared.
+_MEMO_CAP = 1 << 14
 
 
 class _SequenceModel(Module):
@@ -200,6 +212,19 @@ class DeepLogDetector(Detector):
         self._model: _SequenceModel | None = None
         self._value_models: dict[int, _ValueModel | _GaussianValueModel] = {}
         self._pad_index = 0
+        # History -> top-g template indices; valid for the fitted weights.
+        self._top_g_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    # -- pickling (process-pool payloads, deep copies) ---------------------
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_top_g_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._top_g_memo = {}
 
     # -- featurization -------------------------------------------------------
 
@@ -211,16 +236,20 @@ class DeepLogDetector(Detector):
             for template_id in template_sequence(session)
         ]
 
-    def _windows(self, indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    def _pairs(
+        self, indices: list[int]
+    ) -> tuple[list[tuple[int, ...]], list[int]]:
         """All (history, next) pairs, histories left-padded with 0."""
-        histories = []
-        nexts = []
-        for position in range(1, len(indices)):
-            start = max(0, position - self.window)
-            history = indices[start:position]
-            history = [self._pad_index] * (self.window - len(history)) + history
-            histories.append(history)
-            nexts.append(indices[position])
+        padded = [self._pad_index] * self.window + indices
+        histories = [
+            tuple(padded[position:position + self.window])
+            for position in range(1, len(indices))
+        ]
+        return histories, indices[1:]
+
+    def _windows(self, indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_pairs` as ``(N, window)`` and ``(N,)`` index arrays."""
+        histories, nexts = self._pairs(indices)
         if not histories:
             return np.zeros((0, self.window), dtype=int), np.zeros(0, dtype=int)
         return np.asarray(histories, dtype=int), np.asarray(nexts, dtype=int)
@@ -238,6 +267,7 @@ class DeepLogDetector(Detector):
         if not vocabulary:
             raise ValueError("DeepLogDetector needs non-empty training sessions")
         self._index_of = vocabulary
+        self._top_g_memo.clear()
         model_vocabulary = len(vocabulary) + 2  # pad + templates + unk
         self._model = _SequenceModel(
             model_vocabulary, self.embedding_dim, self.hidden, seed=self.seed
@@ -301,17 +331,14 @@ class DeepLogDetector(Detector):
     def detect(self, session: Session) -> DetectionResult:
         self._require_fitted("_model")
         assert self._model is not None and self._index_of is not None
-        indices = self._indices(session)
-        histories, nexts = self._windows(indices)
+        histories, nexts = self._pairs(self._indices(session))
         reasons: list[str] = []
         violations = 0
         checks = 0
 
-        if len(histories):
-            logits = self._model.logits(histories)
-            probabilities = softmax(logits)
+        if histories:
             unknown = len(self._index_of) + 1
-            ranked = np.argsort(-probabilities, axis=1)[:, : self.top_g]
+            ranked = self._ranked(histories)
             for position, actual in enumerate(nexts):
                 checks += 1
                 if actual == unknown or actual not in ranked[position]:
@@ -332,8 +359,37 @@ class DeepLogDetector(Detector):
         return DetectionResult(
             anomalous=total_violations > 0,
             score=score,
-            reasons=tuple(reasons),
+            # The same violation reads the same in every session that
+            # has it, and alerts outlive detection: share the text.
+            reasons=tuple(sys.intern(reason) for reason in reasons),
         )
+
+    def _ranked(
+        self, histories: list[tuple[int, ...]]
+    ) -> list[tuple[int, ...]]:
+        """Top-g template indices per history, best first.
+
+        Served from the memo; the distinct misses run through the model
+        in sorted order, padded to whole :data:`_BLOCK`-row blocks.
+        Ranking is on logits (softmax is monotone) with ties going to
+        the lower index.
+        """
+        assert self._model is not None
+        memo = self._top_g_memo
+        known = {history: memo[history] for history in histories
+                 if history in memo}
+        misses = sorted(set(histories).difference(known))
+        padding = [(self._pad_index,) * self.window] * (-len(misses) % _BLOCK)
+        rows = np.asarray(misses + padding, dtype=int)
+        for start in range(0, len(misses), _BLOCK):
+            logits = self._model.logits(rows[start:start + _BLOCK])
+            top = np.argsort(-logits, axis=1, kind="stable")[:, :self.top_g]
+            for history, ranking in zip(misses[start:start + _BLOCK],
+                                        top.tolist()):
+                if len(memo) >= _MEMO_CAP:
+                    memo.clear()
+                known[history] = memo[history] = tuple(ranking)
+        return [known[history] for history in histories]
 
     def _detect_values(self, session: Session, reasons: list[str]) -> int:
         hits = 0

@@ -267,7 +267,7 @@ class LogAnomalyDetector(Detector):
         if len(targets):
             sequence_logits, count_logits = self._model.logits(semantic, counts)
             fused = (softmax(sequence_logits) + softmax(count_logits)) / 2.0
-            ranked = np.argsort(-fused, axis=1)[:, : self.top_g]
+            ranked = np.argsort(-fused, axis=1, kind="stable")[:, : self.top_g]
             for row, (target, position) in enumerate(zip(targets, positions)):
                 checks += 1
                 if target not in ranked[row]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 #: Token used in templates where a variable was identified.  This is the
 #: conventional wildcard used by Drain and the LogHub benchmarks.
@@ -142,14 +142,15 @@ class ParsedLog:
     values in token order.  ``template_id`` is the parser-assigned
     identifier of the log class, stable within one parser instance.
     ``payload`` carries key/values recovered by the structured-data
-    extraction preliminary step (paper §IV), if it ran.
+    extraction preliminary step (paper §IV); it is None when that step
+    did not run or found nothing, which saves an empty dict per event.
     """
 
     record: LogRecord
     template_id: int
     template: str
     variables: tuple[str, ...] = ()
-    payload: dict[str, object] = field(default_factory=dict)
+    payload: dict[str, object] | None = None
 
     @property
     def timestamp(self) -> float:

@@ -288,7 +288,8 @@ class TemplateCache:
 
     def get_line(
         self, message: str, generation: int
-    ) -> tuple[MinedTemplate, str, tuple[str, ...], dict[str, object]] | None:
+    ) -> tuple[MinedTemplate, str, tuple[str, ...],
+               dict[str, object] | None] | None:
         """Line-tier lookup; None on miss or stale entry."""
         entry = self._lines.get(message)
         if entry is None:
@@ -310,7 +311,7 @@ class TemplateCache:
         template: MinedTemplate,
         rendered: str,
         variables: tuple[str, ...],
-        payload: dict[str, object],
+        payload: dict[str, object] | None,
     ) -> None:
         self._lines[message] = (generation, template, rendered,
                                 variables, payload)
@@ -383,7 +384,7 @@ class Parser:
                     template_id=template.template_id,
                     template=rendered,
                     variables=variables,
-                    payload=dict(payload) if payload else {},
+                    payload=dict(payload) if payload else None,
                 )
         message = record.message
         payload: dict[str, object] = {}
@@ -429,15 +430,17 @@ class Parser:
         rendered = template.template
         if cache is not None:
             # Store a payload copy: cached state must be immune to
-            # consumers mutating this event's payload in place.
+            # consumers mutating this event's payload in place.  Most
+            # payloads are empty; a hit rebuilds those from None.
             cache.put_line(record.message, self.store.generation, template,
-                           rendered, variables, dict(payload))
+                           rendered, variables,
+                           dict(payload) if payload else None)
         return ParsedLog(
             record=record,
             template_id=template.template_id,
             template=rendered,
             variables=variables,
-            payload=payload,
+            payload=payload or None,
         )
 
     def parse_stream(self, records: Iterable[LogRecord]) -> Iterator[ParsedLog]:
@@ -486,7 +489,7 @@ class Parser:
                     template_id=template.template_id,
                     template=entry[2],
                     variables=entry[3],
-                    payload=dict(payload) if payload else {},
+                    payload=dict(payload) if payload else None,
                 ))
             else:
                 # Miss or stale entry: parse_record re-probes and

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.nn import (
     Adam,
@@ -28,6 +30,33 @@ class TestActivations:
         assert np.all((y >= 0) & (y <= 1))
         assert y[2] == pytest.approx(0.5)
         assert np.isfinite(y).all()
+
+    @staticmethod
+    def _two_branch_sigmoid(x):
+        """The exp-based reference: each sign on its overflow-free branch."""
+        out = np.empty_like(x)
+        positive = x >= 0
+        out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+        exp_x = np.exp(x[~positive])
+        out[~positive] = exp_x / (1.0 + exp_x)
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(-1e3, 1e3, allow_nan=False)))
+    def test_sigmoid_matches_exp_formula(self, x):
+        gap = np.abs(sigmoid(x) - self._two_branch_sigmoid(x))
+        assert gap.max() <= 1e-15
+
+    def test_sigmoid_extremes(self):
+        x = np.array([-1e308, -1e3, -745.0, -709.0, -37.0, -1e-300, 0.0,
+                      1e-300, 37.0, 709.0, 745.0, 1e3, 1e308])
+        with np.errstate(over="ignore", under="ignore"):
+            reference = self._two_branch_sigmoid(x)
+        assert np.abs(sigmoid(x) - reference).max() <= 1e-15
+        assert sigmoid(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+        with np.errstate(all="raise"):
+            assert sigmoid(np.array([-1e3, 1e3])).tolist() == [0.0, 1.0]
 
     def test_softmax_rows_sum_to_one(self):
         logits = np.array([[1.0, 2.0, 3.0], [1000.0, 1000.0, 1000.0]])

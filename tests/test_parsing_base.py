@@ -120,6 +120,7 @@ class TestParserApi:
         )
         assert parsed.payload == {"user": 5}
         assert "user" not in parsed.template
+        assert parser.parse_record(make_record("done")).payload is None
 
     def test_parse_stream_is_lazy(self):
         parser = DrainParser()
