@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# One-command gate for builders: the tier-1 test suite (three times:
-# serial, with DeprecationWarning-as-error so internal code never
-# calls the legacy facade shims, and under threaded shard execution)
-# plus a one-second perfbench cloud-deeplog run that must report every
-# pass's alerts identical ("correct": true), seconds-scale smoke runs
-# of the Fig. 1 pipeline bench, the X9 parallel-shards bench, the X10
+# One-command gate: the tier-1 test suite (twice: serial, and under
+# threaded shard execution; pyproject.toml's filterwarnings
+# makes DeprecationWarning an error in both, so internal code never
+# calls the legacy facade shims) plus a one-second perfbench
+# cloud-deeplog run that must report every pass's alerts identical
+# ("correct": true), seconds-scale smoke runs of the Fig. 1 pipeline
+# bench, the X8 batched-pipeline bench (the parse cache's line tier
+# must keep paying), the X9 parallel-shards bench, the X10
 # async-ingestion bench, the X11
 # autoscale-convergence bench, the X12 elastic-resharding bench, the
 # X13 multi-tenant-gateway bench, the X14 tracing-overhead bench, the
@@ -48,13 +50,6 @@ echo "== tier-1: python -m pytest -x -q =="
 python -m pytest -x -q "$@"
 
 echo
-echo "== tier-1 with DeprecationWarning as error (no internal shim use) =="
-# The four legacy facades are deprecated shims over repro.api.Pipeline;
-# internal code and tests must construct through the new API (tests
-# that cover the shims themselves catch the warning via pytest.warns).
-python -m pytest -x -q -W error::DeprecationWarning "$@"
-
-echo
 echo "== tier-1 under the threaded executor: MONILOG_EXECUTOR=thread =="
 MONILOG_EXECUTOR=thread python -m pytest -x -q "$@"
 
@@ -88,6 +83,11 @@ print(f"perfbench cloud-deeplog correct: {records} records, "
 echo
 echo "== smoke: benchmarks/bench_fig1_pipeline.py =="
 MONILOG_BENCH_SMOKE=1 python -m pytest benchmarks/bench_fig1_pipeline.py \
+    -q -p no:cacheprovider --benchmark-disable
+
+echo
+echo "== smoke: benchmarks/bench_x8_batched_pipeline.py =="
+MONILOG_BENCH_SMOKE=1 python -m pytest benchmarks/bench_x8_batched_pipeline.py \
     -q -p no:cacheprovider --benchmark-disable
 
 echo

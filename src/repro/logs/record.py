@@ -11,7 +11,6 @@ discovered ``(template, variables)`` decomposition of the message.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, replace
 
 #: Token used in templates where a variable was identified.  This is the
@@ -23,8 +22,6 @@ WILDCARD = "<*>"
 #: here; the multi-tenant gateway (repro.gateway) stamps real tenant
 #: ids at the transport edge.
 DEFAULT_TENANT = "default"
-
-_WHITESPACE = re.compile(r"\s+")
 
 
 class Severity(enum.IntEnum):
@@ -70,14 +67,13 @@ def tokenize(message: str) -> list[str]:
 
     The paper defines a token as "a sequence delimited by spaces inside a
     log message"; the Eq. 1 metric and all parsers share this definition.
+    Any run of whitespace delimits: ``str.split()`` treats exactly the
+    code points that the regex class ``\\s`` matches as whitespace.
 
     >>> tokenize("Sending 138 bytes")
     ['Sending', '138', 'bytes']
     """
-    stripped = message.strip()
-    if not stripped:
-        return []
-    return _WHITESPACE.split(stripped)
+    return message.split()
 
 
 @dataclass(frozen=True, slots=True)

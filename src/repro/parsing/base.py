@@ -28,7 +28,8 @@ Two fast-path layers exploit the repetitiveness of real log traffic
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from operator import eq, itemgetter
 
 from repro.logs.record import LogRecord, ParsedLog, WILDCARD, tokenize
 from repro.logs.structured import extract_structured_payload
@@ -46,11 +47,14 @@ class MinedTemplate:
     ``store`` is a backref to the owning :class:`TemplateStore` (set by
     :meth:`TemplateStore.create`); refinements report there so caches
     keyed on the store's ``generation`` invalidate correctly.  The
-    rendered template string is memoized and recomputed only after a
-    refinement.
+    rendered template string and the static positions that
+    :meth:`similarity` compares are memoized and recomputed only after
+    the token list changes (a refining :meth:`merge`, or
+    :meth:`replace_tokens`).
     """
 
-    __slots__ = ("template_id", "tokens", "count", "store", "_joined")
+    __slots__ = ("template_id", "tokens", "count", "store", "_joined",
+                 "_static")
 
     def __init__(self, template_id: int, tokens: Sequence[str], count: int = 1):
         self.template_id = template_id
@@ -58,6 +62,8 @@ class MinedTemplate:
         self.count = count
         self.store: "TemplateStore | None" = None
         self._joined: str | None = None
+        self._static: tuple[Callable[[Sequence[str]], Sequence[str]],
+                            tuple[str, ...]] | None = None
 
     @property
     def template(self) -> str:
@@ -89,10 +95,15 @@ class MinedTemplate:
                 refined = True
         self.count += 1
         if refined:
-            self._joined = None
+            self._joined = self._static = None
             if self.store is not None:
                 self.store.note_refinement(self.template_id)
         return refined
+
+    def replace_tokens(self, tokens: Sequence[str]) -> None:
+        """Overwrite the token list (replica sync) and drop the memos."""
+        self.tokens = list(tokens)
+        self._joined = self._static = None
 
     def extract_variables(self, tokens: Sequence[str]) -> tuple[str, ...]:
         """Pull the variable values of ``tokens`` under this template."""
@@ -107,21 +118,40 @@ class MinedTemplate:
 
         Drain's ``seqDist``: wildcards do not count as matches, so a
         fully-wildcarded template has similarity 0 and never greedily
-        absorbs everything.
+        absorbs everything.  Only the static positions are compared,
+        picked out of ``tokens`` in one C-level call.
         """
-        if len(tokens) != len(self.tokens):
+        length = len(tokens)
+        if length != len(self.tokens):
             return 0.0
-        if not tokens:
+        if not length:
             return 1.0
-        matches = sum(
-            1
-            for mine, theirs in zip(self.tokens, tokens)
-            if mine == theirs and mine != WILDCARD
-        )
-        return matches / len(tokens)
+        static = self._static
+        if static is None:
+            static = self._static = _static_view(self.tokens)
+        pick, values = static
+        return sum(map(eq, values, pick(tokens))) / length
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MinedTemplate(id={self.template_id}, {self.template!r}, n={self.count})"
+
+
+def _static_view(
+    tokens: Sequence[str],
+) -> tuple[Callable[[Sequence[str]], Sequence[str]], tuple[str, ...]]:
+    """A picker of ``tokens``' static positions, and their values.
+
+    ``itemgetter`` with one index returns the item rather than a
+    1-tuple, so zero or one static position is picked by slice.
+    """
+    positions = [index for index, token in enumerate(tokens)
+                 if token != WILDCARD]
+    if len(positions) > 1:
+        pick = itemgetter(*positions)
+    else:
+        start = positions[0] if positions else 0
+        pick = itemgetter(slice(start, start + len(positions)))
+    return pick, tuple(tokens[index] for index in positions)
 
 
 class TemplateStore:
@@ -196,6 +226,17 @@ class TemplateCache:
       miner's classification (for Drain: the tree walk and the
       per-cluster similarity scan).
 
+    Entry layouts:
+
+    * template tier: masked content → ``(generation, template, masked
+      token count, wildcard positions or None)``.  The masked tokens
+      themselves are not kept: a hit needs them only to pull variable
+      values when the message's token count differs from the masked
+      one (only a rule whose matches span whitespace does that), and
+      then re-tokenizes the key;
+    * line tier: raw message → ``(generation, template, rendered
+      template, variables, payload or None)``.
+
     Correctness contract (both tiers): an entry is served only while
     the owning store's ``generation`` equals the generation recorded at
     fill time.  Under an unchanged generation no template was created
@@ -230,10 +271,10 @@ class TemplateCache:
         self.misses = 0
         self.line_misses = 0
         self.invalidations = 0
-        # masked → (generation, template, masked tokens, wildcard
+        # masked → (generation, template, masked token count, wildcard
         # positions or None when positional extraction is unsafe).
         self._entries: OrderedDict[
-            str, tuple[int, MinedTemplate, list[str], tuple[int, ...] | None]
+            str, tuple[int, MinedTemplate, int, tuple[int, ...] | None]
         ] = OrderedDict()
         # raw message → (generation, template, rendered template,
         # variables, payload).
@@ -256,13 +297,13 @@ class TemplateCache:
 
     def get(
         self, masked: str, generation: int
-    ) -> tuple[MinedTemplate, list[str], tuple[int, ...] | None] | None:
+    ) -> tuple[MinedTemplate, int, tuple[int, ...] | None] | None:
         """Template-tier lookup; None on miss or stale entry."""
         entry = self._entries.get(masked)
         if entry is None:
             self.misses += 1
             return None
-        cached_generation, template, tokens, positions = entry
+        cached_generation, template, token_count, positions = entry
         if cached_generation != generation:
             # Stale: the template space changed since this was written.
             del self._entries[masked]
@@ -271,17 +312,18 @@ class TemplateCache:
             return None
         self._entries.move_to_end(masked)
         self.hits += 1
-        return template, tokens, positions
+        return template, token_count, positions
 
     def put(
         self,
         masked: str,
         generation: int,
         template: MinedTemplate,
-        tokens: list[str],
+        token_count: int,
         positions: tuple[int, ...] | None,
     ) -> None:
-        self._entries[masked] = (generation, template, tokens, positions)
+        self._entries[masked] = (generation, template, token_count,
+                                 positions)
         self._entries.move_to_end(masked)
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -394,9 +436,20 @@ class Parser:
             payload = dict(extraction.payload)
         masked = self.masker.mask(message)
         hit = cache.get(masked, self.store.generation) if cache is not None else None
+        # Classification runs on masked tokens, but variable *values*
+        # must come from the original message (masking would otherwise
+        # erase them and quantitative detection with it).  Positions
+        # align whenever masking preserved the token count, which the
+        # default rules do (they never match across whitespace); when
+        # it did not, the values come from the masked tokens.
+        original_tokens = tokenize(message)
         if hit is not None:
-            template, tokens, positions = hit
+            template, token_count, positions = hit
             self._on_cache_hit(template)
+            value_tokens = (
+                original_tokens if len(original_tokens) == token_count
+                else tokenize(masked)
+            )
         else:
             tokens = tokenize(masked)
             template = self._classify(tokens)
@@ -413,16 +466,11 @@ class Parser:
                 positions = None
             if cache is not None:
                 cache.put(masked, self.store.generation, template,
-                          tokens, positions)
-        # Classification runs on masked tokens, but variable *values*
-        # must come from the original message (masking would otherwise
-        # erase them and quantitative detection with it).  Positions
-        # align whenever masking preserved the token count, which the
-        # default rules do (they never match across whitespace).
-        original_tokens = tokenize(message)
-        value_tokens = (
-            original_tokens if len(original_tokens) == len(tokens) else tokens
-        )
+                          len(tokens), positions)
+            value_tokens = (
+                original_tokens if len(original_tokens) == len(tokens)
+                else tokens
+            )
         if positions is not None:
             variables = tuple(value_tokens[index] for index in positions)
         else:

@@ -32,7 +32,19 @@ from repro.parsing.base import MinedTemplate, OnlineParser
 from repro.parsing.masking import Masker
 
 
+_ASCII_DIGITS = frozenset("0123456789")
+
+
 def _has_digit(token: str) -> bool:
+    """Whether any character of ``token`` is a digit (``str.isdigit``).
+
+    ASCII tokens, nearly all of them, take a set test; the only ASCII
+    characters ``isdigit`` accepts are 0-9.  Other tokens keep the
+    per-character test: the regex class ``\\d`` is not the same set
+    (``"\\u00b2".isdigit()`` holds but ``\\d`` does not match it).
+    """
+    if token.isascii():
+        return not _ASCII_DIGITS.isdisjoint(token)
     return any(character.isdigit() for character in token)
 
 
@@ -256,8 +268,7 @@ class DrainParser(OnlineParser):
                 )
         for tid, tokens, count in delta["refined"]:
             template = store[tid]
-            template.tokens = list(tokens)
-            template._joined = None
+            template.replace_tokens(tokens)
             template.count = count
             store.note_refinement(tid)
         for tid, count in delta["counts"]:

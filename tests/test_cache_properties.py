@@ -133,8 +133,8 @@ class TestTemplateCacheUnit:
 
         cache = TemplateCache(capacity=4)
         template = MinedTemplate(template_id=0, tokens=["a", "<*>"])
-        cache.put("a 1", 7, template, ["a", "1"], (1,))
-        assert cache.get("a 1", 7) == (template, ["a", "1"], (1,))
+        cache.put("a 1", 7, template, 2, (1,))
+        assert cache.get("a 1", 7) == (template, 2, (1,))
         assert cache.hits == 1
         assert cache.get("a 1", 8) is None
         assert cache.invalidations == 1
@@ -146,10 +146,10 @@ class TestTemplateCacheUnit:
         cache = TemplateCache(capacity=2)
         templates = [MinedTemplate(template_id=i, tokens=["t", str(i)])
                      for i in range(3)]
-        cache.put("m0", 0, templates[0], ["m0"], ())
-        cache.put("m1", 0, templates[1], ["m1"], ())
+        cache.put("m0", 0, templates[0], 1, ())
+        cache.put("m1", 0, templates[1], 1, ())
         assert cache.get("m0", 0) is not None   # refresh m0
-        cache.put("m2", 0, templates[2], ["m2"], ())
+        cache.put("m2", 0, templates[2], 1, ())
         assert cache.get("m1", 0) is None       # m1 was least recent
         assert cache.get("m0", 0) is not None
         assert cache.get("m2", 0) is not None
